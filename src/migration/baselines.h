@@ -23,16 +23,11 @@
 #ifndef JAVMM_SRC_MIGRATION_BASELINES_H_
 #define JAVMM_SRC_MIGRATION_BASELINES_H_
 
-#include <optional>
-
-#include "src/base/rng.h"
-#include "src/faults/faults.h"
 #include "src/guest/guest_kernel.h"
 #include "src/migration/config.h"
 #include "src/migration/destination.h"
 #include "src/migration/stats.h"
-#include "src/net/channel_set.h"
-#include "src/net/link.h"
+#include "src/migration/wire.h"
 #include "src/trace/trace.h"
 
 namespace javmm {
@@ -66,11 +61,11 @@ class StopAndCopyEngine {
  private:
   GuestKernel* guest_;
   MigrationConfig config_;
-  ChannelSet channels_;
   TraceRecorder trace_;
   // Deterministic op counters for the run in progress; reset at Migrate()
   // start and snapshotted into MigrationResult::perf (DESIGN.md §14).
   PerfCounters perf_;
+  WireSession wire_;
 };
 
 class PostcopyEngine {
@@ -96,20 +91,15 @@ class PostcopyEngine {
  private:
   class FaultTracker;
 
-  // Clock-advancing backoff for the post-degrade demand trickle.
-  void WaitBackoff(int attempt, TimePoint min_until, MigrationResult* common);
-
   GuestKernel* guest_;
   Config config_;
-  ChannelSet channels_;
   TraceRecorder trace_;
   // Deterministic op counters for the run in progress; reset at Migrate()
   // start and snapshotted into MigrationResult::perf (DESIGN.md §14).
   PerfCounters perf_;
-  // Present only while Migrate() runs with a non-empty fault plan; the Rng
-  // drives the Bernoulli control-loss draws off base.fault_seed. Per-channel
-  // schedules live inside channels_.
-  std::optional<Rng> fault_rng_;
+  // The link, shared by the device-state copy, the pre-paging stream and
+  // the demand fetches.
+  WireSession wire_;
 };
 
 }  // namespace javmm

@@ -18,15 +18,12 @@
 #include <vector>
 
 #include "src/base/perf.h"
-#include "src/base/rng.h"
-#include "src/faults/faults.h"
 #include "src/guest/guest_kernel.h"
 #include "src/mem/hotness.h"
 #include "src/migration/config.h"
 #include "src/migration/destination.h"
 #include "src/migration/stats.h"
-#include "src/net/channel_set.h"
-#include "src/net/link.h"
+#include "src/migration/wire.h"
 #include "src/trace/trace.h"
 
 namespace javmm {
@@ -109,11 +106,11 @@ class MigrationEngine {
   // compression class, delta retransmission).
   void SendPage(Pfn pfn, DestinationVm* dest, Burst* burst, MigrationResult* result);
 
-  // Pushes a finished burst striped over the channel set, each channel
+  // Pushes a finished burst through the wire session (striped, each channel
   // retrying its slice with bounded exponential backoff when an outage cuts
-  // the transfer, then delivers its pages and advances the clock once by the
-  // slowest channel's completion (wire time pipelined with the bitmap-scan
-  // CPU time of the pages examined). Returns false when any channel's retry
+  // the transfer), then delivers its pages and advances the clock once by
+  // the slowest channel's completion (wire time pipelined with the
+  // bitmap-scan CPU time of the pages examined). Returns false when any channel's retry
   // budget ran out: the whole burst is abandoned, its pages moved to
   // carryover_ and a degrade requested (never happens during stop-and-copy,
   // where the engine waits outages out instead).
@@ -124,10 +121,6 @@ class MigrationEngine {
   // with the receiver), retrying lost rounds with bounded exponential
   // backoff. Returns false when the retry budget ran out (degrade requested).
   bool ControlRoundTrip(int index, MigrationResult* result);
-
-  // Backs off before retry `attempt` (1-based): waits
-  // max(NominalBackoff(...), until an outage known to block retries ends).
-  void WaitBackoff(int index, int attempt, TimePoint min_until, MigrationResult* result);
 
   // Records the first exhausted retry budget; the migration loop then
   // degrades to stop-and-copy or aborts per config.degrade_mode.
@@ -146,33 +139,25 @@ class MigrationEngine {
   void TracePhase(TraceEventKind kind);
   // Records a daemon->LKM notification and delivers it.
   void NotifyLkm(DaemonToLkm msg);
-  // Copies channel count and per-channel meter snapshots into the result
-  // (per-channel vectors only when more than one channel exists).
-  void FillChannelMeters(MigrationResult* result) const;
   // Runs the TraceAuditor over the finished run when configured.
   void RunAudit(MigrationResult* result);
 
   GuestKernel* guest_;
   MigrationConfig config_;
-  ChannelSet channels_;
   TraceRecorder trace_;
   // Deterministic op counters for the run in progress (DESIGN.md §14); reset
   // at each Migrate() start, snapshotted into MigrationResult::perf on every
   // exit path. The trace recorder and dirty log meter into it directly.
   PerfCounters perf_;
+  // The link: channels, fault schedules, loss stream and retry settings.
+  // The control path follows channel 0.
+  WireSession wire_;
   std::vector<const RequiredPfnSource*> required_sources_;
   bool suspension_ready_ = false;
   // Set during an assisted migration: per-page compression hints (§6).
   const Lkm* hint_source_ = nullptr;
 
   // ---- Per-Migrate() fault-recovery state (reset at migration start). ----
-  // Per-channel fault schedules live inside channels_, anchored at each
-  // migration's start; a healthy channel carries no schedule, so every fault
-  // branch short-circuits and the engine stays bit-identical to its
-  // pre-fault behaviour. The control path follows channel 0.
-  // Private stream for the Bernoulli control-loss draws; drawn from only
-  // when the plan has control_loss_p > 0 and the link is not in an outage.
-  std::optional<Rng> fault_rng_;
   DegradeReason degrade_ = DegradeReason::kNone;
   // During the final stop-and-copy transfer the engine never abandons a
   // burst (aborting a paused VM would be worse than waiting the outage out).

@@ -72,57 +72,6 @@ std::vector<ChannelShare> ChannelSet::Shard(int64_t pages, int64_t wire_bytes) c
   return shares;
 }
 
-StripedOutcome ChannelSet::TryStripedTransfer(
-    int64_t pages, int64_t wire_bytes, TimePoint start, int max_retries,
-    Duration backoff_base, Duration backoff_cap,
-    const std::function<void(int, int, const TransferAttempt&, TimePoint)>& on_fault,
-    const std::function<void(int, int, Duration, Duration, TimePoint)>& on_backoff) const {
-  StripedOutcome outcome;
-  outcome.shares = Shard(pages, wire_bytes);
-  outcome.completes_at = start;
-  for (ChannelShare& share : outcome.shares) {
-    if (share.wire_bytes == 0 && share.pages == 0) {
-      share.done = start;
-      continue;
-    }
-    const NetworkLink& link = links_[static_cast<size_t>(share.channel)];
-    const FaultSchedule* schedule = faults(share.channel);
-    TimePoint vnow = start;
-    int attempt = 0;
-    while (true) {
-      const TransferAttempt result = link.TryTransfer(share.wire_bytes, vnow, schedule);
-      if (result.ok) {
-        share.done = vnow + result.duration;
-        if (share.done > outcome.completes_at) {
-          outcome.completes_at = share.done;
-        }
-        break;
-      }
-      ++attempt;
-      vnow = vnow + result.duration;
-      on_fault(share.channel, attempt, result, vnow);
-      if (max_retries >= 0 && attempt > max_retries) {
-        // Retry budget exhausted: the whole burst is abandoned. No backoff
-        // after the terminal fault, matching the engines' degrade paths.
-        if (vnow > outcome.completes_at) {
-          outcome.completes_at = vnow;
-        }
-        outcome.ok = false;
-        return outcome;
-      }
-      const Duration nominal = NominalBackoff(backoff_base, backoff_cap, attempt);
-      TimePoint target = vnow + nominal;
-      if (result.blocked_until > target) {
-        target = result.blocked_until;
-      }
-      on_backoff(share.channel, attempt, nominal, target - vnow, target);
-      vnow = target;
-    }
-  }
-  outcome.ok = true;
-  return outcome;
-}
-
 int64_t ChannelSet::total_wire_bytes() const {
   int64_t total = 0;
   for (const NetworkLink& link : links_) {

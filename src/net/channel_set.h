@@ -10,14 +10,13 @@
 // With count() == 1 every code path reduces exactly to the single-link
 // arithmetic the engines used before: the bandwidth share is the full rate
 // (divided by 1.0), the sharder produces one full-size share, and the striped
-// retry loop visits one channel with the same attempt/backoff sequence --
-// results stay bit-identical.
+// retry loop (WireSession::Send, src/migration/wire.h) visits one channel
+// with the same attempt/backoff sequence -- results stay bit-identical.
 
 #ifndef JAVMM_SRC_NET_CHANNEL_SET_H_
 #define JAVMM_SRC_NET_CHANNEL_SET_H_
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <vector>
 
@@ -34,16 +33,6 @@ struct ChannelShare {
   int64_t wire_bytes = 0;
   // Instant this channel's slice finished (success only).
   TimePoint done;
-};
-
-// Outcome of one striped transfer across all channels.
-struct StripedOutcome {
-  bool ok = false;
-  // Success: when the slowest channel finished. Failure: how far simulated
-  // time progressed before the retry budget ran out (the caller advances the
-  // clock by completes_at - start either way).
-  TimePoint completes_at;
-  std::vector<ChannelShare> shares;
 };
 
 class ChannelSet {
@@ -74,23 +63,6 @@ class ChannelSet {
   // shard bytes evenly the same way. A share with zero pages has zero bytes
   // unless the whole burst is page-less.
   std::vector<ChannelShare> Shard(int64_t pages, int64_t wire_bytes) const;
-
-  // Runs one burst striped across the channels: each channel retries its own
-  // slice on its own virtual timeline starting at `start`, with the engines'
-  // bounded exponential backoff (max_retries < 0 means unbounded, the
-  // stop-and-copy contract). The caller observes faults and backoffs through
-  // the callbacks -- it meters retry bytes, bumps counters, and records trace
-  // events at the virtual instants passed in -- then advances the clock once
-  // by completes_at - start. on_fault runs after a failed attempt with the
-  // virtual time already past the partial transfer; on_backoff runs with the
-  // nominal wait, the actual wait (outage-extended), and the retry instant.
-  StripedOutcome TryStripedTransfer(
-      int64_t pages, int64_t wire_bytes, TimePoint start, int max_retries,
-      Duration backoff_base, Duration backoff_cap,
-      const std::function<void(int channel, int attempt, const TransferAttempt&,
-                               TimePoint vnow)>& on_fault,
-      const std::function<void(int channel, int attempt, Duration nominal,
-                               Duration waited, TimePoint vtarget)>& on_backoff) const;
 
   // Aggregate meters across all channels (the legacy single-link totals).
   int64_t total_wire_bytes() const;
