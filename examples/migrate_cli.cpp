@@ -13,6 +13,8 @@
 //   migrate_cli --workload=crypto --engine=javmm --faults="bw:0s-60s@0.1;loss:0.05"
 //   migrate_cli --list
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -87,6 +89,24 @@ bool ParseFlag(const char* arg, const char* name, std::string* out) {
   return false;
 }
 
+// Parses flag `name`'s whole `value` into `out`: an empty value, trailing
+// characters ("2x"), a sign on an unsigned flag, a non-finite or an
+// out-of-range number is an error (printed), never a silently truncated
+// prefix.
+template <typename T>
+bool ParseNumber(const char* name, const std::string& value, T* out) {
+  T parsed{};
+  const char* end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, parsed);
+  if (value.empty() || ec != std::errc() || ptr != end ||
+      !std::isfinite(static_cast<double>(parsed))) {
+    std::fprintf(stderr, "bad %s value '%s': not a number\n", name, value.c_str());
+    return false;
+  }
+  *out = parsed;
+  return true;
+}
+
 bool ParseArgs(int argc, char** argv, CliOptions* options) {
   for (int i = 1; i < argc; ++i) {
     std::string value;
@@ -95,23 +115,37 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
     } else if (ParseFlag(argv[i], "--engine", &value)) {
       options->engine = value;
     } else if (ParseFlag(argv[i], "--seed", &value)) {
-      options->seed = std::strtoull(value.c_str(), nullptr, 10);
+      if (!ParseNumber("--seed", value, &options->seed)) {
+        return false;
+      }
     } else if (ParseFlag(argv[i], "--repeat", &value)) {
-      options->repeat = std::atoi(value.c_str());
+      if (!ParseNumber("--repeat", value, &options->repeat)) {
+        return false;
+      }
     } else if (ParseFlag(argv[i], "--bandwidth-gbps", &value)) {
-      options->bandwidth_gbps = std::atof(value.c_str());
+      if (!ParseNumber("--bandwidth-gbps", value, &options->bandwidth_gbps)) {
+        return false;
+      }
     } else if (ParseFlag(argv[i], "--vm-mib", &value)) {
-      options->vm_mib = std::atoll(value.c_str());
+      if (!ParseNumber("--vm-mib", value, &options->vm_mib)) {
+        return false;
+      }
     } else if (ParseFlag(argv[i], "--young-mib", &value)) {
-      options->young_mib = std::atoll(value.c_str());
+      if (!ParseNumber("--young-mib", value, &options->young_mib)) {
+        return false;
+      }
     } else if (ParseFlag(argv[i], "--warmup-s", &value)) {
-      options->warmup_s = std::atof(value.c_str());
+      if (!ParseNumber("--warmup-s", value, &options->warmup_s)) {
+        return false;
+      }
     } else if (ParseFlag(argv[i], "--trace-out", &value)) {
       options->trace_out = value;
     } else if (ParseFlag(argv[i], "--faults", &value)) {
       options->faults = value;
     } else if (ParseFlag(argv[i], "--channels", &value)) {
-      options->channels = std::atoi(value.c_str());
+      if (!ParseNumber("--channels", value, &options->channels)) {
+        return false;
+      }
     } else if (ParseFlag(argv[i], "--hotness", &value)) {
       options->hotness = value;
     } else if (std::strcmp(argv[i], "--compress") == 0) {
@@ -127,6 +161,73 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
       std::fprintf(stderr, "unknown option: %s\n\n", argv[i]);
       return false;
     }
+  }
+  return true;
+}
+
+// The workload as every run builds it: the named proxy, with --young-mib
+// overriding its young-generation cap.
+WorkloadSpec SpecFor(const CliOptions& options) {
+  WorkloadSpec spec = Workloads::Get(options.workload);
+  if (options.young_mib > 0) {
+    spec = Workloads::WithYoungCap(spec, options.young_mib * kMiB);
+  }
+  return spec;
+}
+
+// Range checks for the numeric flags and the workload name, so no flag value
+// reaches a CHECK in the link, the clock or the lab. The bounds also keep the
+// derived byte and nanosecond values far from int64 overflow. Returns false
+// after printing why.
+bool ValidateOptions(const CliOptions& options) {
+  constexpr int64_t kMaxMib = int64_t{1} << 20;  // 1 TiB.
+  constexpr int kMaxChannels = 1024;
+  if (options.channels <= 0) {
+    std::fprintf(stderr, "--channels must be >= 1, got %d\n", options.channels);
+    return false;
+  }
+  if (options.channels > kMaxChannels) {
+    std::fprintf(stderr, "--channels must be <= %d, got %d\n", kMaxChannels, options.channels);
+    return false;
+  }
+  if (!(options.bandwidth_gbps >= 0.001 && options.bandwidth_gbps <= 10000.0)) {
+    std::fprintf(stderr, "--bandwidth-gbps must be in [0.001, 10000], got %g\n",
+                 options.bandwidth_gbps);
+    return false;
+  }
+  if (options.vm_mib < 1 || options.vm_mib > kMaxMib) {
+    std::fprintf(stderr, "--vm-mib must be in [1, %lld], got %lld\n",
+                 static_cast<long long>(kMaxMib), static_cast<long long>(options.vm_mib));
+    return false;
+  }
+  if (options.young_mib < 0 || options.young_mib > kMaxMib) {
+    std::fprintf(stderr, "--young-mib must be in [0, %lld] (0 = workload default), got %lld\n",
+                 static_cast<long long>(kMaxMib), static_cast<long long>(options.young_mib));
+    return false;
+  }
+  if (!(options.warmup_s >= 0.0 && options.warmup_s <= 1e6)) {
+    std::fprintf(stderr, "--warmup-s must be in [0, 1000000], got %g\n", options.warmup_s);
+    return false;
+  }
+  bool known = false;
+  for (const WorkloadSpec& spec : Workloads::All()) {
+    known = known || spec.name == options.workload;
+  }
+  if (!known) {
+    std::fprintf(stderr, "unknown --workload '%s' (see --list)\n", options.workload.c_str());
+    return false;
+  }
+  const WorkloadSpec spec = SpecFor(options);
+  LabConfig config;
+  config.vm_bytes = options.vm_mib * kMiB;
+  if (!MigrationLab::HeapFitsVm(spec, config)) {
+    std::fprintf(stderr,
+                 "--vm-mib=%lld is too small for workload '%s': its %s young cap, the guest "
+                 "OS and the memory guard leave no room for its %s old generation\n",
+                 static_cast<long long>(options.vm_mib), options.workload.c_str(),
+                 FormatBytes(spec.heap.young_max_bytes).c_str(),
+                 FormatBytes(spec.old_baseline_bytes).c_str());
+    return false;
   }
   return true;
 }
@@ -204,10 +305,7 @@ int RunPrecopyStyle(const CliOptions& options) {
   MigrationResult last;
   std::string engine_used = options.engine;
   for (int run = 0; run < options.repeat; ++run) {
-    WorkloadSpec spec = Workloads::Get(options.workload);
-    if (options.young_mib > 0) {
-      spec = Workloads::WithYoungCap(spec, options.young_mib * kMiB);
-    }
+    const WorkloadSpec spec = SpecFor(options);
     LabConfig config;
     config.vm_bytes = options.vm_mib * kMiB;
     config.seed = options.seed + static_cast<uint64_t>(run);
@@ -333,10 +431,7 @@ int RunBaseline(const CliOptions& options) {
   MigrationResult last;
   PostcopyResult last_pc;
   for (int run = 0; run < options.repeat; ++run) {
-    WorkloadSpec spec = Workloads::Get(options.workload);
-    if (options.young_mib > 0) {
-      spec = Workloads::WithYoungCap(spec, options.young_mib * kMiB);
-    }
+    const WorkloadSpec spec = SpecFor(options);
     LabConfig config;
     config.vm_bytes = options.vm_mib * kMiB;
     config.seed = options.seed + static_cast<uint64_t>(run);
@@ -429,8 +524,7 @@ int main(int argc, char** argv) {
     PrintUsage();
     return 2;
   }
-  if (options.channels <= 0) {
-    std::fprintf(stderr, "--channels must be >= 1, got %d\n", options.channels);
+  if (!ValidateOptions(options)) {
     return 2;
   }
   {

@@ -8,14 +8,26 @@
 
 namespace javmm {
 
+namespace {
+
+// What the young cap and the OS leave of the VM for the old generation.
+int64_t OldGenBudget(const WorkloadSpec& spec, const LabConfig& config) {
+  return config.vm_bytes - spec.heap.young_max_bytes - config.os.resident_bytes -
+         config.memory_guard_bytes;
+}
+
+}  // namespace
+
+bool MigrationLab::HeapFitsVm(const WorkloadSpec& spec, const LabConfig& config) {
+  return OldGenBudget(spec, config) > spec.old_baseline_bytes;
+}
+
 MigrationLab::MigrationLab(const WorkloadSpec& spec, const LabConfig& config)
     : config_(config), spec_(spec) {
   // Fit the heap into the VM: the old generation takes what the young cap and
   // the OS leave over, as HotSpot does with -Xmx bounded by guest memory.
-  const int64_t old_budget = config_.vm_bytes - spec_.heap.young_max_bytes -
-                             config_.os.resident_bytes - config_.memory_guard_bytes;
-  CHECK_GT(old_budget, spec_.old_baseline_bytes);
-  spec_.heap.old_max_bytes = std::min(spec_.heap.old_max_bytes, old_budget);
+  CHECK(HeapFitsVm(spec_, config_));
+  spec_.heap.old_max_bytes = std::min(spec_.heap.old_max_bytes, OldGenBudget(spec_, config_));
 
   memory_ = std::make_unique<GuestPhysicalMemory>(config_.vm_bytes);
   memory_->set_perf(&guest_perf_);

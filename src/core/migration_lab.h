@@ -56,6 +56,12 @@ struct LabConfig {
 
 class MigrationLab {
  public:
+  // The lab's precondition: the old generation's budget -- what the young
+  // cap, the OS and the guard leave of the VM -- must exceed the workload's
+  // old-generation baseline. Front ends check it to reject a VM too small
+  // for the heap instead of letting the constructor's CHECK abort.
+  static bool HeapFitsVm(const WorkloadSpec& spec, const LabConfig& config);
+
   MigrationLab(const WorkloadSpec& spec, const LabConfig& config);
   MigrationLab(const MigrationLab&) = delete;
   MigrationLab& operator=(const MigrationLab&) = delete;

@@ -92,8 +92,9 @@ class TraceAuditor {
   static TraceAuditReport Audit(AuditMode mode, const TraceRecorder& trace,
                                 const MigrationResult& result, const AuditInputs& inputs);
 
-  // Legacy convenience for fault-free engines (the baselines and older
-  // tests): zero retry meter, no backoff re-derivation.
+  // Shorthand for a fault-free, single-link audit: zero retry meter, no
+  // backoff re-derivation. Every engine audits through the AuditInputs form
+  // (WireSession::FillAuditInputs); only the trace tests call this one.
   static TraceAuditReport Audit(AuditMode mode, const TraceRecorder& trace,
                                 const MigrationResult& result, int64_t link_wire_bytes,
                                 int64_t link_pages_sent,

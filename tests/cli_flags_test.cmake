@@ -43,6 +43,20 @@ expect_reject("--hotness orders pre-copy rounds.*postcopy has none"
 # The pre-existing --channels validation stays intact alongside.
 expect_reject("--channels must be >= 1, got 0" --workload=crypto --channels=0)
 
+# Numeric flags parse the whole token and are range-checked before any
+# simulation starts: each of these used to abort on a CHECK (link bandwidth,
+# lab heap fit, clock advance) or was silently truncated.
+expect_reject("--bandwidth-gbps must be in .*got 0" --bandwidth-gbps=0)
+expect_reject("bad --bandwidth-gbps value 'abc'" --bandwidth-gbps=abc)
+expect_reject("--bandwidth-gbps must be in .*got -1" --bandwidth-gbps=-1)
+expect_reject("--vm-mib must be in .*got 0" --vm-mib=0)
+expect_reject("--vm-mib must be in .*got -5" --vm-mib=-5)
+expect_reject("--vm-mib=256 is too small for workload 'derby'" --vm-mib=256)
+expect_reject("--warmup-s must be in .*got -1" --warmup-s=-1)
+expect_reject("bad --channels value '2x'" --channels=2x)
+expect_reject("--young-mib must be in .*got -3" --young-mib=-3)
+expect_reject("unknown --workload 'nope'" --workload=nope)
+
 # javmm_lint rule-name validation: a typo in --disable=/--only= must be a hard
 # usage error, never a silently widened or narrowed rule set.
 if(DEFINED LINT)
