@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+
 #include "src/core/migration_lab.h"
 
 namespace javmm {
@@ -24,10 +27,14 @@ struct SweepCase {
   uint64_t seed;
 };
 
-std::string CaseName(const ::testing::TestParamInfo<SweepCase>& info) {
-  return std::string(info.param.workload) + (info.param.assisted ? "_javmm" : "_xen") + "_s" +
-         std::to_string(info.param.seed);
+std::string CaseName(const SweepCase& c) {
+  return std::string(c.workload) + (c.assisted ? "_javmm" : "_xen") + "_s" + std::to_string(c.seed);
 }
+
+// Without a printer gtest dumps the struct's raw bytes into the listed test
+// name: the workload literal's address (moved by ASLR on every run) and
+// uninitialised padding, so the ctest names would differ from build to build.
+void PrintTo(const SweepCase& c, std::ostream* os) { *os << CaseName(c); }
 
 class MigrationSweepTest : public ::testing::TestWithParam<SweepCase> {};
 
@@ -74,7 +81,9 @@ std::vector<SweepCase> AllCases() {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllWorkloads, MigrationSweepTest, ::testing::ValuesIn(AllCases()),
-                         CaseName);
+                         [](const ::testing::TestParamInfo<SweepCase>& info) {
+                           return CaseName(info.param);
+                         });
 
 // ---- §5.3 category behaviours at paper scale. ----
 

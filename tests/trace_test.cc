@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <sstream>
 #include <string>
 
@@ -532,6 +533,10 @@ struct AuditScenario {
   bool abort = false;
   bool fallback = false;
 };
+
+// Keeps the listed test names stable: without a printer gtest would dump the
+// struct's bytes, including the address of `name`, which ASLR moves each run.
+void PrintTo(const AuditScenario& sc, std::ostream* os) { *os << sc.name; }
 
 class TraceScenarioTest : public ::testing::TestWithParam<AuditScenario> {};
 
